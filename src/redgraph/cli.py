@@ -33,6 +33,10 @@ from .tate import TateCurve, random_specializations, torsion_specializations, we
 RunConfig = argparse.Namespace
 
 
+class UsageError(Exception):
+    """Arguments that parse one by one but do not form a valid invocation."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -61,6 +65,17 @@ def _parse_intervals(text: str) -> list[tuple[Fraction, Fraction]]:
     if not pairs:
         raise ValueError(f"could not parse intervals from {text!r}")
     return [(Fraction(a.strip()), Fraction(b.strip())) for a, b in pairs]
+
+
+def _coefficient_override(text: str) -> tuple[int, Fraction]:
+    """Parse ``I:VAL``: a 1-based interval index and a rational coefficient."""
+    index_text, colon, value_text = text.partition(":")
+    try:
+        if colon:
+            return int(index_text), Fraction(value_text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected I:VAL, integer I and rational VAL, got {text!r}")
 
 
 def _cmd_graph_solve(config: RunConfig) -> int:
@@ -117,6 +132,8 @@ def _cmd_equi_run(config: RunConfig) -> int:
     curve = TateCurve.of(config.ell)
     test_functions = [("nt", neron_tate_potential(curve.ell))]
     start = 2 if (config.exclude_identity and config.mode == "torsion") else 1
+    if config.max_n < start:
+        raise UsageError(f"--max-n {config.max_n} is below the first order {start}")
 
     def row_for(n: int):
         if config.mode == "torsion":
@@ -160,12 +177,10 @@ def _cmd_bound_compute(config: RunConfig) -> int:
     spec = BumpSpec.default(complement)
     if config.c:
         coefficients = list(spec.coefficients)
-        for item in config.c:
-            index_text, _, value_text = item.partition(":")
-            index = int(index_text)
+        for index, override in config.c:
             if not 1 <= index <= len(coefficients):
                 raise ValueError(f"coefficient index {index} out of range")
-            coefficients[index - 1] = Fraction(value_text)
+            coefficients[index - 1] = override
         spec = BumpSpec(complement, tuple(coefficients))
         value = lower_bound(neron_tate_bundle(complement.ell), optimal_bump(spec))
     else:
@@ -264,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--intervals", default=None, help="e.g. \"[(0/1,1/1),(3/1,4/1)]\"")
     compute.add_argument(
         "--c",
+        type=_coefficient_override,
         action="append",
         default=[],
         metavar="I:VAL",
@@ -295,6 +311,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RedgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2

@@ -6,12 +6,16 @@ breakpoint a Dirac whose weight is the sum of the outgoing slopes of f
 there.  Its total mass is always zero, and the sign convention is pinned by
 the exact identity ``integrate(f, d2(f)) == -energy(f)``.
 
-``solve_d2`` inverts ``d2`` on mass-zero targets: the density and interior
-Dirac jumps determine each edge up to a linear term, and the remaining
-unknowns (one slope per edge, one value per vertex) satisfy value matching
-at edge ends plus a flux balance at each vertex.  The system is solved by
-exact Gaussian elimination; the kernel is the constants, removed by the
-requested normalization.
+``solve_d2`` inverts ``d2`` on mass-zero targets.  The density and interior
+Dirac jumps fix each edge up to a linear term: a particular solution with end
+value P_e and end slope S_e, plus phi_s + s_e*t.  Value matching at the far
+end gives the slope in closed form, s_e = (phi_t - phi_s - P_e)/L_e, and
+flux balance at the vertices becomes the weighted graph Laplacian on the
+vertex values phi, with conductance 1/L_e per edge.  Loops drop out of the
+matrix and only add S_e to the right-hand side.  The kernel is the
+constants: ``graph.vertices[0]`` is pinned to 0, the remaining (V-1)-square
+symmetric positive-definite system is solved by exact sparse elimination
+in minimum-degree order, and the requested normalization is applied last.
 """
 
 from __future__ import annotations
@@ -136,34 +140,33 @@ def _particular_solution(graph: MetrizedGraph, target: GraphMeasure, e: int) -> 
     return _EdgeParticular(tuple(breakpoints), tuple(coeffs), value, slope)
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction], n_cols: int) -> list[Fraction]:
-    """Exact Gauss-Jordan elimination for a consistent full-column-rank system."""
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    n_rows = len(m)
-    rank = 0
-    pivot_cols = []
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][c]
-        for i in range(n_rows):
-            if i != rank and m[i][c] != 0:
-                factor = m[i][c] / pivot
-                for j in range(c, n_cols + 1):
-                    m[i][j] -= factor * m[rank][j]
-        pivot_cols.append(c)
-        rank += 1
-    for i in range(rank, n_rows):
-        if m[i][n_cols] != 0:
-            raise MassImbalanceError("no solution: constraints are inconsistent")
-    if len(pivot_cols) != n_cols:
-        raise ValueError("linear system is underdetermined")
-    solution = [ZERO] * n_cols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = m[i][n_cols] / m[i][c]
-    return solution
+def _eliminate(
+    diag: list[Fraction], off: list[dict[int, Fraction]], rhs: list[Fraction], unknowns: range
+) -> list[Fraction]:
+    """Exact sparse elimination of a symmetric positive-definite system.
+
+    ``off[i]`` holds row i's nonzero off-diagonal entries among ``unknowns``;
+    every other index reads 0 in the solution.  Pivots are taken in
+    minimum-degree order, ties broken by index.  The inputs are consumed.
+    """
+    remaining = set(unknowns)
+    steps = []
+    while remaining:
+        k = min(remaining, key=lambda i: (len(off[i]), i))
+        remaining.remove(k)
+        row = list(off[k].items())
+        for n, (i, a_ik) in enumerate(row):
+            del off[i][k]
+            factor = a_ik / diag[k]
+            diag[i] -= factor * a_ik
+            rhs[i] -= factor * rhs[k]
+            for j, a_kj in row[n + 1:]:
+                off[i][j] = off[j][i] = off[i].get(j, ZERO) - factor * a_kj
+        steps.append((k, row))
+    x = [ZERO] * len(diag)
+    for k, row in reversed(steps):
+        x[k] = (rhs[k] - sum(a * x[j] for j, a in row)) / diag[k]
+    return x
 
 
 def solve_d2(problem: PoissonProblem) -> PiecewisePoly:
@@ -173,45 +176,33 @@ def solve_d2(problem: PoissonProblem) -> PiecewisePoly:
     ``d2(solve_d2(problem)) == problem.target`` with exact equality.
     """
     graph, target = problem.graph, problem.target
-    n_edges = len(graph.edges)
-    n_cols = n_edges + len(graph.vertices)
-    vertex_col = {v: n_edges + i for i, v in enumerate(graph.vertices)}
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    particulars = [_particular_solution(graph, target, e) for e in range(len(graph.edges))]
+    # flux balance at v, once s_e = (phi_t - phi_s - P_e)/L_e is substituted:
+    # sum over non-loop edges of (phi_v - phi_other)/L_e == rhs[v]
+    diag = [ZERO] * len(index)
+    off: list[dict[int, Fraction]] = [{} for _ in index]
+    rhs = [-target.discrete.weight(graph.vertex_point(v)) for v in graph.vertices]
+    for rec, part in zip(graph.edges, particulars):
+        s, t = index[rec.source], index[rec.target]
+        rhs[t] -= part.end_slope
+        if s == t:
+            continue
+        conductance = 1 / rec.length
+        drift = part.end_value * conductance
+        rhs[s] -= drift
+        rhs[t] += drift
+        for a, b in ((s, t), (t, s)):
+            diag[a] += conductance
+            if b:  # vertex 0 is pinned to 0 and leaves the system
+                off[a][b] = off[a].get(b, ZERO) - conductance
+    phi = _eliminate(diag, off, rhs, range(1, len(index)))
 
-    particulars = [_particular_solution(graph, target, e) for e in range(n_edges)]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # value matching: phi_source + s_e*length + Q_e(length) == phi_target
-    for e, rec in enumerate(graph.edges):
-        row = [ZERO] * n_cols
-        row[e] = rec.length
-        row[vertex_col[rec.source]] += 1
-        row[vertex_col[rec.target]] -= 1
-        rows.append(row)
-        rhs.append(-particulars[e].end_value)
-    # flux balance: sum of outgoing slopes at v equals the Dirac weight there
-    for v in graph.vertices:
-        row = [ZERO] * n_cols
-        b = target.discrete.weight(graph.vertex_point(v))
-        for e, end in graph.incident_ends(v):
-            if end == SOURCE_END:
-                row[e] += 1
-            else:
-                row[e] -= 1
-                b += particulars[e].end_slope
-        rows.append(row)
-        rhs.append(b)
-    # pin the constant; the final normalization is applied afterwards
-    row = [ZERO] * n_cols
-    row[vertex_col[graph.vertices[0]]] = Fraction(1)
-    rows.append(row)
-    rhs.append(ZERO)
-
-    solution = _solve_linear(rows, rhs, n_cols)
     pieces = {}
     for e, rec in enumerate(graph.edges):
         part = particulars[e]
-        slope = solution[e]
-        base = solution[vertex_col[rec.source]]
+        base = phi[index[rec.source]]
+        slope = (phi[index[rec.target]] - base - part.end_value) / rec.length
         pieces[e] = (
             part.breakpoints,
             tuple((c2, c1 + slope, c0 + base) for c2, c1, c0 in part.coeffs),

@@ -37,6 +37,32 @@ def random_graph(rng: random.Random) -> MetrizedGraph:
     return MetrizedGraph.of(vertices, edges)
 
 
+def random_large_graph(rng: random.Random, n: int) -> MetrizedGraph:
+    """Connected graph on ``n`` vertices (the tests use 30..60).
+
+    A random tree on a core carries extra chords, parallel edges and loops.
+    A three-edge pendant path hangs off the core and ends at the leaf
+    ``v{n-1}``; vertex ``v{n-4}`` meets the rest of the graph by a single
+    edge, and all its other edges are loops.
+    """
+    vertices = [f"v{i}" for i in range(n)]
+    core, lonely, path = vertices[: n - 4], vertices[n - 4], vertices[n - 3 :]
+    edges = [
+        (core[rng.randrange(i)], core[i], random_positive_rational(rng))
+        for i in range(1, len(core))
+    ]
+    # a copy of the first tree edge, reversed, so parallel edges always occur
+    edges.append((core[1], core[0], random_positive_rational(rng)))
+    for _ in range(n // 3):  # chords, which may be loops or parallel edges too
+        edges.append((rng.choice(core), rng.choice(core), random_positive_rational(rng)))
+    edges.append((rng.choice(core), lonely, random_positive_rational(rng)))
+    edges += [(lonely, lonely, random_positive_rational(rng)) for _ in range(2)]
+    for a, b in zip([rng.choice(core), *path], path):
+        edges.append((a, b, random_positive_rational(rng)))
+    rng.shuffle(edges)
+    return MetrizedGraph.of(vertices, edges)
+
+
 def fixed_topologies() -> list[MetrizedGraph]:
     """Hand-picked shapes: circle, wedge of loops, theta, path, loop+tail."""
     return [

@@ -50,6 +50,26 @@ def test_bound_requires_preset_or_intervals(tmp_path, capsys):
     assert "preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["x:1/4", "1:abc", "1:1/0", "1/4"])
+def test_bound_malformed_coefficient_exits_2(override, capsys):
+    # non-integer index, non-rational value (twice), missing colon
+    args = ["bound", "compute", "--ell", "5/1", "--intervals", "[(0/1,1/1)]", "--c", override]
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    assert "I:VAL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--max-n", "0"], ["--max-n", "-3"], ["--max-n", "1", "--exclude-identity"]]
+)
+def test_equi_run_max_n_below_first_order_exits_2(tmp_path, capsys, extra):
+    out = tmp_path / "report.csv"
+    assert main(["equi", "run", "--ell", "1/1", "--out", str(out), *extra]) == 2
+    assert "first order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equi_run_matches_grid_distances(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["equi", "run", "--ell", "1/1", "--max-n", "3", "--out", str(out)]) == 0

@@ -29,10 +29,12 @@ from redgraph import (
 from generators import (
     fixed_topologies,
     random_graph,
+    random_large_graph,
     random_mass_zero_measure,
     random_point,
     random_poly,
     random_probability_measure,
+    random_rational,
 )
 
 
@@ -172,6 +174,44 @@ def test_green_symmetry_randomized():
     for g in graphs:
         mu = random_probability_measure(rng, g)
         for _ in range(3):
+            x, y = random_point(rng, g), random_point(rng, g)
+            assert green(g, x, mu).value_at(y) == green(g, y, mu).value_at(x)
+
+
+def large_graph_targets(rng, g):
+    """Mass-zero targets of three kinds: vertex Diracs, interior Diracs, densities."""
+    leaf, lonely = g.vertex_point(g.vertices[-1]), g.vertex_point(g.vertices[-4])
+    vertex = GraphMeasure(g, [(leaf, 1), (lonely, -1)])
+    interior_points = [
+        g.point(e, F(rng.randint(1, 7), 8) * g.edges[e].length)
+        for e in rng.sample(range(len(g.edges)), 4)
+    ]
+    weights = [random_rational(rng) for _ in interior_points[1:]]
+    interior = GraphMeasure(g, list(zip(interior_points, [-sum(weights), *weights])))
+    densities = {
+        e: ((g.edges[e].length / 2,), (random_rational(rng), random_rational(rng)))
+        for e in rng.sample(range(len(g.edges)), len(g.edges) // 2)
+    }
+    density = GraphMeasure(g, [], densities)
+    density -= GraphMeasure.uniform(g) * density.total_mass
+    return vertex, interior, density
+
+
+def test_large_graph_property_suite():
+    # graphs with V=30..60 and loops, parallel edges, a pendant path and a
+    # vertex whose other edges are all loops
+    rng = random.Random(707)
+    for n in (30, 38, 46, 53, 60):
+        g = random_large_graph(rng, n)
+        mu = random_probability_measure(rng, g)
+        base = random_point(rng, g)
+        for rho in large_graph_targets(rng, g):
+            f_point = solve_d2(PoissonProblem(g, rho, base_point=base))
+            f_measure = solve_d2(PoissonProblem(g, rho, reference=mu))
+            assert d2(f_point) == rho and d2(f_measure) == rho
+            assert f_point.value_at(base) == 0 and integrate(f_measure, mu) == 0
+            assert integrate(f_point, d2(f_point)) == -energy(f_point)
+        for _ in range(2):
             x, y = random_point(rng, g), random_point(rng, g)
             assert green(g, x, mu).value_at(y) == green(g, y, mu).value_at(x)
 
