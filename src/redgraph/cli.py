@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,14 +25,19 @@ from .core import GraphMeasure, GraphPoint, MetrizedGraph, rational_str
 from .errors import RedgraphError
 from .potential import PoissonProblem, solve_d2
 from .shilov import SpecialFiberModel, normalized_measure, shilov_measure
-from .tate import TateCurve, random_specializations, torsion_specializations, weak_convergence_report
-
-# The parsed argparse namespace is the run configuration.
-RunConfig = argparse.Namespace
+from .tate import TateCurve, random_specializations, specialize, torsion_specializations, weak_convergence_report
 
 
-class UsageError(Exception):
-    """Arguments that parse one by one but do not form a valid invocation."""
+class UsageError(argparse.ArgumentTypeError):
+    """Malformed arguments: exit 2, from argparse or from a command handler."""
+
+
+def _rational(text: str) -> Fraction:
+    """Parse a rational "p/q" with a nonzero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"expected a rational p/q, got {text!r}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -55,16 +58,16 @@ def _parse_point(graph: MetrizedGraph, text: str) -> GraphPoint:
     if text.startswith("v:"):
         return graph.vertex_point(text[2:])
     edge_text, _, offset_text = text.partition(":")
-    if not offset_text:
-        raise ValueError(f"point {text!r} is neither 'v:NAME' nor 'EDGE:OFFSET'")
-    return graph.point(int(edge_text), Fraction(offset_text))
+    if not edge_text.isdecimal() or not offset_text:
+        raise UsageError(f"point {text!r} is neither 'v:NAME' nor 'EDGE:OFFSET'")
+    return graph.point(int(edge_text), _rational(offset_text))
 
 
 def _parse_intervals(text: str) -> list[tuple[Fraction, Fraction]]:
     pairs = re.findall(r"\(([^,()]+),([^,()]+)\)", text)
     if not pairs:
-        raise ValueError(f"could not parse intervals from {text!r}")
-    return [(Fraction(a.strip()), Fraction(b.strip())) for a, b in pairs]
+        raise UsageError(f"could not parse intervals from {text!r}")
+    return [(_rational(a.strip()), _rational(b.strip())) for a, b in pairs]
 
 
 def _coefficient_override(text: str) -> tuple[int, Fraction]:
@@ -78,7 +81,7 @@ def _coefficient_override(text: str) -> tuple[int, Fraction]:
     raise argparse.ArgumentTypeError(f"expected I:VAL, integer I and rational VAL, got {text!r}")
 
 
-def _cmd_graph_solve(config: RunConfig) -> int:
+def _cmd_graph_solve(config: argparse.Namespace) -> int:
     graph = MetrizedGraph.from_dict(_load_json(config.graph))
     target = GraphMeasure.from_dict(graph, _load_json(config.target))
     if config.normalize == "uniform":
@@ -92,7 +95,7 @@ def _cmd_graph_solve(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_shilov_measure(config: RunConfig) -> int:
+def _cmd_shilov_measure(config: argparse.Namespace) -> int:
     model = SpecialFiberModel.from_dict(_load_json(config.model))
     measure = shilov_measure(model)
     payload = {"weights": measure.to_dict(), "mass": rational_str(measure.mass)}
@@ -102,7 +105,7 @@ def _cmd_shilov_measure(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_nt(config: RunConfig) -> int:
+def _cmd_nt(config: argparse.Namespace) -> int:
     bundle = neron_tate_bundle(config.ell)
     payload = {
         "ell": rational_str(config.ell),
@@ -110,7 +113,7 @@ def _cmd_nt(config: RunConfig) -> int:
         "curvature": curvature(bundle).to_dict(),
     }
     if config.eval is not None:
-        t = config.eval - (config.eval // config.ell) * config.ell
+        t = specialize(TateCurve(config.ell), config.eval)
         value = bundle.twist.value_on_edge(0, t)
         payload["potential_at"] = {
             "t": rational_str(t),
@@ -121,35 +124,29 @@ def _cmd_nt(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_phi_energy(config: RunConfig) -> int:
+def _cmd_phi_energy(config: argparse.Namespace) -> int:
     graph = MetrizedGraph.from_dict(_load_json(config.graph))
     value = phi_energy(graph, _parse_point(graph, config.p), _parse_point(graph, config.q))
     _emit({"energy": rational_str(value), "float": float(value)}, config.out)
     return 0
 
 
-def _cmd_equi_run(config: RunConfig) -> int:
+def _cmd_equi_run(config: argparse.Namespace) -> int:
     curve = TateCurve.of(config.ell)
     test_functions = [("nt", neron_tate_potential(curve.ell))]
     start = 2 if (config.exclude_identity and config.mode == "torsion") else 1
     if config.max_n < start:
         raise UsageError(f"--max-n {config.max_n} is below the first order {start}")
-
-    def row_for(n: int):
-        if config.mode == "torsion":
-            sample = torsion_specializations(curve, n, config.exclude_identity)
-        else:
-            rng = random.Random(config.seed * 1_000_003 + n)
-            sample = random_specializations(curve, n, rng)
-        return weak_convergence_report([(n, sample)], test_functions, include_w1=config.w1)[0]
-
     orders = range(start, config.max_n + 1)
-    workers = max(1, int(os.environ.get("REDGRAPH_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_for, orders))
+    if config.mode == "torsion":
+        samples = [(n, torsion_specializations(curve, n, config.exclude_identity)) for n in orders]
     else:
-        rows = [row_for(n) for n in orders]
+        # one generator per order, so a row does not depend on the rows before it
+        samples = [
+            (n, random_specializations(curve, n, random.Random(config.seed * 1_000_003 + n)))
+            for n in orders
+        ]
+    rows = weak_convergence_report(samples, test_functions, include_w1=config.w1)
 
     header = ["n", "count", "ks_num", "ks_den", "ks_float"]
     if config.w1:
@@ -167,7 +164,7 @@ def _cmd_equi_run(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_bound_compute(config: RunConfig) -> int:
+def _cmd_bound_compute(config: argparse.Namespace) -> int:
     if config.preset is not None:
         complement = preset_complement(config.preset, config.ell)
     elif config.intervals is not None:
@@ -197,8 +194,8 @@ def _cmd_bound_compute(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_canheight(config: RunConfig) -> int:
-    coefficients = [Fraction(part.strip()) for part in config.poly.split(",")]
+def _cmd_canheight(config: argparse.Namespace) -> int:
+    coefficients = [_rational(part.strip()) for part in config.poly.split(",")]
     poly = PolyMap.of(coefficients, config.p)
     result = canonical_local_height(poly, config.x, config.max_iter)
     _emit(
@@ -243,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     measure.set_defaults(func=_cmd_shilov_measure)
 
     nt = top.add_parser("nt", help="invariant-curvature circle bundle")
-    nt.add_argument("--ell", type=Fraction, required=True, help="circle length, e.g. 5/1")
-    nt.add_argument("--eval", type=Fraction, default=None, help="evaluate the potential at t")
+    nt.add_argument("--ell", type=_rational, required=True, help="circle length, e.g. 5/1")
+    nt.add_argument("--eval", type=_rational, default=None, help="evaluate the potential at t")
     nt.add_argument("--out", default=None)
     nt.set_defaults(func=_cmd_nt)
 
@@ -258,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     equi = top.add_parser("equi", help="equidistribution experiments")
     equi_sub = equi.add_subparsers(dest="subcommand", required=True)
     run = equi_sub.add_parser("run", help="KS/Wasserstein report over torsion orders")
-    run.add_argument("--ell", type=Fraction, required=True)
+    run.add_argument("--ell", type=_rational, required=True)
     run.add_argument("--max-n", type=int, required=True)
     run.add_argument("--seed", type=int, default=0, help="seed for --mode random")
     run.add_argument(
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound = top.add_parser("bound", help="height lower bounds")
     bound_sub = bound.add_subparsers(dest="subcommand", required=True)
     compute = bound_sub.add_parser("compute", help="bump-function lower bound")
-    compute.add_argument("--ell", type=Fraction, required=True)
+    compute.add_argument("--ell", type=_rational, required=True)
     compute.add_argument("--preset", choices=("neutral", "neron", "point"), default=None)
     compute.add_argument("--intervals", default=None, help="e.g. \"[(0/1,1/1),(3/1,4/1)]\"")
     compute.add_argument(
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     can = top.add_parser("canheight", help="escape-rate canonical local height")
     can.add_argument("--poly", required=True, help="coefficients, leading first: '1,0,0'")
     can.add_argument("--p", type=int, required=True, help="prime of the place")
-    can.add_argument("--x", type=Fraction, required=True)
+    can.add_argument("--x", type=_rational, required=True)
     can.add_argument("--max-iter", type=int, default=8)
     can.add_argument("--out", default=None)
     can.set_defaults(func=_cmd_canheight)
@@ -299,15 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run the handler selected by the parsed configuration."""
-    return config.func(config)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     config = build_parser().parse_args(argv)
     try:
-        return dispatch(config)
+        return config.func(config)
     except RedgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,17 +3,20 @@
 A multiplicatively uniformized curve with parameter valuation L specializes
 onto a circle of circumference L by reducing valuations mod L.  Torsion
 orbits give finite samples whose empirical measures can be compared to the
-rotation-invariant probability measure: the Kolmogorov-Smirnov distance is
-computed exactly over the rationals, and the circle Wasserstein-1 distance
-(minimum over vertical CDF shifts) is available as a secondary diagnostic.
+rotation-invariant probability measure.  Both diagnostics come from one
+sorted sweep over the merged atoms and density breakpoints of the two
+measures, which yields the CDF difference as exact linear segments: the
+Kolmogorov-Smirnov distance is its largest absolute value, and the circle
+Wasserstein-1 distance (minimum over vertical CDF shifts) integrates it
+around a Lebesgue median.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .bundles import PlaceTag
@@ -115,13 +118,18 @@ def torsion_specializations(
 def random_specializations(curve: TateCurve, n: int, rng: random.Random) -> OrbitSample:
     """n^2 independent draws from the order-n grid {b*L/n}, for experiments.
 
-    Deterministic given the generator state; the CLI derives one generator
-    per n so rows do not depend on evaluation order.
+    Deterministic given the generator state, which advances by one
+    ``rng.randrange(n)`` per draw; the CLI derives one generator per n so
+    rows do not depend on evaluation order.
     """
     if n < 1:
         raise ValueError(f"grid order must be >= 1, got {n}")
-    draws = (Fraction(rng.randrange(n), n) * curve.ell for _ in range(n * n))
-    return OrbitSample.of(curve.ell, draws)
+    hits = [0] * n
+    for _ in range(n * n):
+        hits[rng.randrange(n)] += 1
+    return OrbitSample(
+        curve.ell, tuple((Fraction(b, n) * curve.ell, m) for b, m in enumerate(hits) if m)
+    )
 
 
 def empirical_measure(sample: OrbitSample) -> GraphMeasure:
@@ -140,160 +148,146 @@ def _require_circle(measure: GraphMeasure) -> Fraction:
     return graph.edges[0].length
 
 
-class _CircleCdf:
-    """Exact CDF of a circle measure from the vertex, with left limits."""
-
-    def __init__(self, measure: GraphMeasure) -> None:
-        atoms: dict[Fraction, Fraction] = {}
-        for point, weight in measure.discrete.items():
-            offset = ZERO if point.is_vertex else point.offset
-            atoms[offset] = atoms.get(offset, ZERO) + weight
-        self.atom_offsets = sorted(atoms)
-        self.atom_weights = [atoms[t] for t in self.atom_offsets]
-        prefix = [ZERO]
-        for w in self.atom_weights:
-            prefix.append(prefix[-1] + w)
-        self._atom_prefix = prefix
-        self.pieces = measure.density_pieces(0)
-        starts = [a for a, _, _ in self.pieces]
-        integrals = [ZERO]
-        for a, b, v in self.pieces:
-            integrals.append(integrals[-1] + v * (b - a))
-        self._piece_starts = starts
-        self._piece_prefix = integrals
-
-    def breakpoints(self) -> set[Fraction]:
-        points = set(self.atom_offsets)
-        points.update(a for a, _, _ in self.pieces)
-        return points
-
-    def at(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        """(left limit, right value) of the CDF at t."""
-        i = bisect_left(self.atom_offsets, t)
-        left = self._atom_prefix[i]
-        atom_here = (
-            self.atom_weights[i]
-            if i < len(self.atom_offsets) and self.atom_offsets[i] == t
-            else ZERO
-        )
-        j = bisect_right(self._piece_starts, t) - 1
-        a, _, v = self.pieces[j]
-        left += self._piece_prefix[j] + v * (t - a)
-        return left, left + atom_here
+def _add_changes(measure: GraphMeasure, sign: int, atoms: list, ramps: list) -> None:
+    """Append (sign, offset, weight) atoms and (sign, offset, change) density steps."""
+    for point, weight in measure.discrete.items():
+        atoms.append((sign, ZERO if point.is_vertex else point.offset, weight))
+    previous = ZERO
+    for a, _, value in measure.density_pieces(0):
+        if value != previous:
+            ramps.append((sign, a, value - previous))
+        previous = value
 
 
-def _cdf_pair(
+def _cdf_difference(
     mu: GraphMeasure, target: GraphMeasure | None
-) -> tuple[Fraction, _CircleCdf, _CircleCdf]:
+) -> tuple[int, int, int, list[tuple[int, int, int, int]]]:
+    """g = F_mu - F_target as exact linear segments, scaled to integers.
+
+    Both CDFs are measured from the vertex.  Offsets are scaled by the
+    common denominator X of the offsets and the length L, and values of g by
+    the common denominator Y of the atom weights and of the density steps
+    per unit of X*t, so G = Y*g jumps and slopes by integers at integer
+    T = X*t.  One sorted pass over the merged atoms and density steps of the
+    two measures then accumulates G on [0, X*L].  Returns
+    (X*L, X, Y, segments) with segments (A, B, G(A+), G(B-)).  Default
+    target: the rotation-invariant probability measure.
+    """
     length = _require_circle(mu)
     if mu.total_mass != 1:
         raise MassImbalanceError("measure must be a probability measure")
+    atoms: list[tuple[int, Fraction, Fraction]] = []
+    ramps: list[tuple[int, Fraction, Fraction]] = []
+    _add_changes(mu, 1, atoms, ramps)
     if target is None:
-        target = GraphMeasure.constant_density(mu.graph, Fraction(1) / length)
+        ramps.append((-1, ZERO, 1 / length))
     else:
         if target.graph != mu.graph:
             raise GraphMismatchError("measures live on different circles")
         if target.total_mass != 1:
             raise MassImbalanceError("target must be a probability measure")
-    return length, _CircleCdf(mu), _CircleCdf(target)
+        _add_changes(target, -1, atoms, ramps)
+    x_scale = lcm(length.denominator, *(t.denominator for _, t, _ in atoms + ramps))
+    # a density step c changes the slope of G by c * Y / X per unit of X*t
+    ramp_dens = [c.denominator * x_scale // gcd(c.numerator, x_scale) for _, _, c in ramps]
+    y_scale = lcm(*(w.denominator for _, _, w in atoms), *ramp_dens)
+    jumps: dict[int, int] = {}
+    for sign, t, w in atoms:
+        at = t.numerator * (x_scale // t.denominator)
+        jumps[at] = jumps.get(at, 0) + sign * w.numerator * (y_scale // w.denominator)
+    slopes: dict[int, int] = {}
+    for (sign, t, c), den in zip(ramps, ramp_dens):
+        at = t.numerator * (x_scale // t.denominator)
+        step = sign * c.numerator // gcd(c.numerator, x_scale) * (y_scale // den)
+        slopes[at] = slopes.get(at, 0) + step
+    total = length.numerator * (x_scale // length.denominator)
+    segments = []
+    g = slope = 0
+    marks = sorted(jumps.keys() | slopes.keys() | {0, total})
+    for a, b in zip(marks, marks[1:]):
+        g += jumps.get(a, 0)
+        slope += slopes.get(a, 0)
+        end = g + slope * (b - a)
+        segments.append((a, b, g, end))
+        g = end
+    return total, x_scale, y_scale, segments
+
+
+def _sup_norm(y_scale: int, segments: list[tuple[int, int, int, int]]) -> Fraction:
+    return Fraction(max(max(abs(ga), abs(gb)) for _, _, ga, gb in segments), y_scale)
 
 
 def kolmogorov_distance(mu: GraphMeasure, target: GraphMeasure | None = None) -> Fraction:
     """Exact sup-distance of circle CDFs, measured from the vertex.
 
-    Both CDFs are piecewise linear between their jump points, so the
-    supremum is attained at a jump point from either side; left and right
-    limits are compared at every such point.  Default target: the
-    rotation-invariant probability measure.
+    The CDF difference is linear on each segment of one merged breakpoint
+    sweep, so the supremum is the largest |g| at a segment end, taken from
+    inside the segment (left and right limits at every jump).  Default
+    target: the rotation-invariant probability measure.
     """
-    length, cdf_mu, cdf_nu = _cdf_pair(mu, target)
-    points = cdf_mu.breakpoints() | cdf_nu.breakpoints() | {ZERO, length}
-    worst = ZERO
-    for t in sorted(points):
-        mu_left, mu_right = cdf_mu.at(t)
-        nu_left, nu_right = cdf_nu.at(t)
-        worst = max(worst, abs(mu_left - nu_left), abs(mu_right - nu_right))
-    return worst
+    _, _, y_scale, segments = _cdf_difference(mu, target)
+    return _sup_norm(y_scale, segments)
 
 
-def _abs_linear_integral(a: Fraction, b: Fraction, ga: Fraction, gb: Fraction) -> Fraction:
-    """Integral of |linear interpolation from ga at a to gb at b| over [a, b]."""
-    if a == b:
-        return ZERO
-    if ga == gb:
-        return abs(ga) * (b - a)
-    if (ga >= 0 and gb >= 0) or (ga <= 0 and gb <= 0):
-        return abs(ga + gb) * (b - a) / 2
-    slope = (gb - ga) / (b - a)
-    return (ga * ga + gb * gb) / (2 * abs(slope))
+def _median_cost(
+    total: int, x_scale: int, y_scale: int, segments: list[tuple[int, int, int, int]]
+) -> Fraction:
+    """min over s of the integral of |g - s|, at a Lebesgue median s of g.
+
+    Arc length pushed forward by G puts a point mass on the value of every
+    flat segment and spreads a segment of slope k evenly, at rate 1/|k|,
+    over the values it sweeps.  Measures are kept as integers in units of
+    1/K, K the lcm of the |k|; one sort of the masses and rate changes finds
+    the median num/den, and the cost of every segment has a closed form.
+    """
+    steep = lcm(*{abs(gb - ga) // (b - a) for a, b, ga, gb in segments if ga != gb})
+    masses: dict[int, int] = {}
+    rates: dict[int, int] = {}
+    for a, b, ga, gb in segments:
+        if ga == gb:
+            masses[ga] = masses.get(ga, 0) + steep * (b - a)
+        else:
+            lo, hi = min(ga, gb), max(ga, gb)
+            rate = steep * (b - a) // (hi - lo)
+            rates[lo] = rates.get(lo, 0) + rate
+            rates[hi] = rates.get(hi, 0) - rate
+    whole = steep * total  # the median is where twice the measure below reaches this
+    below = rate = 0
+    levels = sorted(masses.keys() | rates.keys())
+    level = levels[0]
+    for value in levels:
+        reach = below + rate * (value - level)
+        if 2 * reach >= whole:
+            num, den = 2 * rate * level + whole - 2 * below, 2 * rate
+            break
+        below = reach + masses.get(value, 0)
+        if 2 * below >= whole:
+            num, den = value, 1
+            break
+        rate += rates.get(value, 0)
+        level = value
+    # a crossed segment costs ((hi - s)^2 + (s - lo)^2) / (2|k|), any other
+    # one its width times |midpoint - s|; both in units of 1/(2 K den^2)
+    cost = 0
+    for a, b, ga, gb in segments:
+        lo, hi = min(ga, gb), max(ga, gb)
+        if lo * den < num < hi * den:
+            cost += ((hi * den - num) ** 2 + (num - lo * den) ** 2) * (steep * (b - a) // (hi - lo))
+        else:
+            cost += (b - a) * abs((lo + hi) * den - 2 * num) * den * steep
+    return Fraction(cost, 2 * steep * den * den * x_scale * y_scale)
 
 
 def wasserstein_distance(mu: GraphMeasure, target: GraphMeasure | None = None) -> Fraction:
     """Exact circle Wasserstein-1 distance to ``target`` (default invariant).
 
-    Uses the minimum over vertical shifts s of the integral of
-    |F_mu - F_target - s|; the optimal s is a Lebesgue median of the CDF
-    difference, found exactly on its piecewise-linear segments.
+    On the circle W1 is the minimum over vertical shifts s of the integral
+    of |F_mu - F_target - s| (Rabin, Delon and Gousseau, 2011); the optimal
+    s is a Lebesgue median of the CDF difference.  The segments of the
+    difference come from one sorted integer sweep and the median from one
+    more sort, O(n log n) in the number of breakpoints.
     """
-    length, cdf_mu, cdf_nu = _cdf_pair(mu, target)
-    cuts = sorted(cdf_mu.breakpoints() | cdf_nu.breakpoints() | {ZERO, length})
-    segments: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
-    for a, b in zip(cuts, cuts[1:]):
-        ga = cdf_mu.at(a)[1] - cdf_nu.at(a)[1]
-        gb = cdf_mu.at(b)[0] - cdf_nu.at(b)[0]
-        segments.append((a, b, ga, gb))
-
-    # Lebesgue distribution of the difference: flat segments are point
-    # masses, sloped segments spread their length uniformly over the value
-    # interval they sweep.
-    point_masses: dict[Fraction, Fraction] = {}
-    spreads: list[tuple[Fraction, Fraction, Fraction]] = []
-    candidates: set[Fraction] = set()
-    for a, b, ga, gb in segments:
-        width = b - a
-        if ga == gb:
-            point_masses[ga] = point_masses.get(ga, ZERO) + width
-            candidates.add(ga)
-        else:
-            lo, hi = (ga, gb) if ga < gb else (gb, ga)
-            spreads.append((lo, hi, width))
-            candidates.update((lo, hi))
-
-    def measure_below(s: Fraction) -> Fraction:
-        m = sum((w for v, w in point_masses.items() if v <= s), ZERO)
-        for lo, hi, w in spreads:
-            if s >= hi:
-                m += w
-            elif s > lo:
-                m += w * (s - lo) / (hi - lo)
-        return m
-
-    half = length / 2
-    shift = None
-    previous = None
-    for c in sorted(candidates):
-        if measure_below(c) >= half:
-            if previous is None:
-                shift = c
-                break
-            below_prev = measure_below(previous)
-            slope = sum(
-                (w / (hi - lo) for lo, hi, w in spreads if lo <= previous and c <= hi),
-                ZERO,
-            )
-            if slope > 0 and below_prev + slope * (c - previous) >= half:
-                shift = min(c, previous + (half - below_prev) / slope)
-            else:
-                shift = c
-            break
-        previous = c
-    if shift is None:  # pragma: no cover - masses always reach the total
-        shift = previous
-
-    return sum(
-        (_abs_linear_integral(a, b, ga - shift, gb - shift) for a, b, ga, gb in segments),
-        ZERO,
-    )
+    return _median_cost(*_cdf_difference(mu, target))
 
 
 @dataclass(frozen=True)
@@ -316,15 +310,22 @@ def weak_convergence_report(
 
     For each (n, sample): the KS distance of the empirical measure to the
     invariant measure, and |integral of phi against the empirical measure
-    minus its invariant average| for every test function phi.
+    minus its invariant average| for every test function phi.  KS and W1
+    share one CDF sweep per row; the invariant averages are computed once
+    per circle length.
     """
+    averages: dict[Fraction, tuple[Fraction, ...]] = {}
     rows = []
     for n, sample in samples:
         mu = empirical_measure(sample)
-        uniform = GraphMeasure.constant_density(mu.graph, Fraction(1) / sample.ell)
+        if sample.ell not in averages:
+            uniform = GraphMeasure.uniform(mu.graph)
+            averages[sample.ell] = tuple(integrate(phi, uniform) for _, phi in test_functions)
         errors = tuple(
-            abs(integrate(phi, mu) - integrate(phi, uniform)) for _, phi in test_functions
+            abs(integrate(phi, mu) - average)
+            for (_, phi), average in zip(test_functions, averages[sample.ell])
         )
-        w1 = wasserstein_distance(mu) if include_w1 else None
-        rows.append(ConvergenceRow(n, sample.total, kolmogorov_distance(mu), errors, w1))
+        total, x_scale, y_scale, segments = _cdf_difference(mu, None)
+        w1 = _median_cost(total, x_scale, y_scale, segments) if include_w1 else None
+        rows.append(ConvergenceRow(n, sample.total, _sup_norm(y_scale, segments), errors, w1))
     return rows

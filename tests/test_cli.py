@@ -1,5 +1,6 @@
 """End-to-end CLI checks: outputs, schemas, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -103,14 +104,29 @@ def test_equi_run_random_mode_seeded(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_equi_run_parallel_rows_are_identical(tmp_path, monkeypatch):
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    base = ["equi", "run", "--ell", "3/1", "--max-n", "10", "--w1"]
-    monkeypatch.delenv("REDGRAPH_THREADS", raising=False)
-    assert main(base + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("REDGRAPH_THREADS", "4")
-    assert main(base + ["--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--ell", "5/1", "--max-n", "60", "--w1"],
+            "e1d5bca64004019e77b9933138b032c43837e118c93d6b23818b44f937dcba79",
+        ),
+        (
+            ["--ell", "7/3", "--max-n", "40", "--w1", "--mode", "random", "--seed", "7"],
+            "e8824749db81790441193ca56a19cb6b62d7808c309056aaa57ebe3540a7ef68",
+        ),
+        (
+            ["--ell", "7/3", "--max-n", "60", "--w1", "--exclude-identity"],
+            "b7cd035c1646dc5ef09262b467158de767a2b7bcef8c0c656b0595aa1ddf5ea1",
+        ),
+    ],
+)
+def test_equi_run_golden_bytes(tmp_path, args, digest):
+    # hashes of reports from the earlier per-point CDF implementation: every
+    # distance is a unique exact rational, so the bytes must not change
+    out = tmp_path / "report.csv"
+    assert main(["equi", "run", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_equi_run_exclude_identity_and_w1(tmp_path):
@@ -258,8 +274,37 @@ def test_bad_rational_argument_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_domain_error_exits_1(capsys):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nt", "--ell", "1/0"],
+        ["nt", "--ell", "5/1", "--eval", "2/0"],
+        ["equi", "run", "--ell", "1/0", "--max-n", "3", "--out", "{tmp}/r.csv"],
+        ["canheight", "--poly", "1,0,0", "--p", "3", "--x", "1/0"],
+        ["canheight", "--poly", "1,0,1/0", "--p", "3", "--x", "1/3"],
+        ["phi-energy", "--graph", "{graph}", "--p", "0:1/0", "--q", "v:v0"],
+        ["phi-energy", "--graph", "{graph}", "--p", "x:1/2", "--q", "v:v0"],
+        ["bound", "compute", "--ell", "5/1", "--intervals", "[(0,1/0)]"],
+        ["bound", "compute", "--ell", "5/1", "--intervals", "[]"],
+    ],
+)
+def test_malformed_rational_exits_2(tmp_path, capsys, args):
+    graph = write_json(tmp_path / "g.json", CIRCLE5)
+    args = [a.format(tmp=tmp_path, graph=graph) for a in args]
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.strip()
+
+
+def test_domain_error_exits_1(tmp_path, capsys):
     assert main(["nt", "--ell", "0/1"]) == 1
+    assert "positive" in capsys.readouterr().err
+    out = tmp_path / "r.csv"
+    assert main(["equi", "run", "--ell", "0", "--max-n", "3", "--out", str(out)]) == 1
     assert "positive" in capsys.readouterr().err
 
 

@@ -1,6 +1,7 @@
 """Specialization, torsion orbits, exact KS and circle Wasserstein."""
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -214,3 +215,151 @@ def test_random_specializations_deterministic():
     assert a.total == 36
     assert a != c
     assert all(t.denominator <= 6 * 2 for t, _ in a.counts)
+
+
+class _ReferenceCdf:
+    """The earlier per-point CDF of a circle measure, kept as a test oracle."""
+
+    def __init__(self, measure):
+        atoms = {}
+        for point, weight in measure.discrete.items():
+            offset = F(0) if point.is_vertex else point.offset
+            atoms[offset] = atoms.get(offset, F(0)) + weight
+        self.atom_offsets = sorted(atoms)
+        self.atom_weights = [atoms[t] for t in self.atom_offsets]
+        self.prefix = [F(0)]
+        for w in self.atom_weights:
+            self.prefix.append(self.prefix[-1] + w)
+        self.pieces = measure.density_pieces(0)
+        self.piece_prefix = [F(0)]
+        for a, b, v in self.pieces:
+            self.piece_prefix.append(self.piece_prefix[-1] + v * (b - a))
+
+    def breakpoints(self):
+        return set(self.atom_offsets) | {a for a, _, _ in self.pieces}
+
+    def at(self, t):
+        """(left limit, right value) of the CDF at t."""
+        i = bisect_left(self.atom_offsets, t)
+        left = self.prefix[i]
+        here = self.atom_weights[i] if i < len(self.atom_offsets) and self.atom_offsets[i] == t else 0
+        j = bisect_right([a for a, _, _ in self.pieces], t) - 1
+        a, _, v = self.pieces[j]
+        left += self.piece_prefix[j] + v * (t - a)
+        return left, left + here
+
+
+def reference_distances(mu, target=None):
+    """(KS, W1) by the earlier per-point CDF evaluation and quadratic median search."""
+    length = mu.graph.edges[0].length
+    if target is None:
+        target = GraphMeasure.constant_density(mu.graph, 1 / length)
+    cdf_mu, cdf_nu = _ReferenceCdf(mu), _ReferenceCdf(target)
+    cuts = sorted(cdf_mu.breakpoints() | cdf_nu.breakpoints() | {F(0), length})
+    ks = F(0)
+    for t in cuts:
+        (mu_l, mu_r), (nu_l, nu_r) = cdf_mu.at(t), cdf_nu.at(t)
+        ks = max(ks, abs(mu_l - nu_l), abs(mu_r - nu_r))
+    segments = [
+        (a, b, cdf_mu.at(a)[1] - cdf_nu.at(a)[1], cdf_mu.at(b)[0] - cdf_nu.at(b)[0])
+        for a, b in zip(cuts, cuts[1:])
+    ]
+
+    point_masses, spreads = {}, []
+    for a, b, ga, gb in segments:
+        if ga == gb:
+            point_masses[ga] = point_masses.get(ga, F(0)) + (b - a)
+        else:
+            spreads.append((min(ga, gb), max(ga, gb), b - a))
+
+    def measure_below(s):
+        m = sum((w for v, w in point_masses.items() if v <= s), F(0))
+        for lo, hi, w in spreads:
+            if s >= hi:
+                m += w
+            elif s > lo:
+                m += w * (s - lo) / (hi - lo)
+        return m
+
+    half, shift, previous = length / 2, None, None
+    for c in sorted(set(point_masses) | {v for lo, hi, _ in spreads for v in (lo, hi)}):
+        if measure_below(c) >= half:
+            shift = c
+            if previous is not None:
+                below = measure_below(previous)
+                slope = sum((w / (hi - lo) for lo, hi, w in spreads if lo <= previous and c <= hi), F(0))
+                if slope > 0 and below + slope * (c - previous) >= half:
+                    shift = min(c, previous + (half - below) / slope)
+            break
+        previous = c
+
+    def abs_integral(a, b, ga, gb):
+        if ga == gb:
+            return abs(ga) * (b - a)
+        if (ga >= 0 and gb >= 0) or (ga <= 0 and gb <= 0):
+            return abs(ga + gb) * (b - a) / 2
+        return (ga * ga + gb * gb) * (b - a) / (2 * abs(gb - ga))
+
+    return ks, sum((abs_integral(a, b, ga - shift, gb - shift) for a, b, ga, gb in segments), F(0))
+
+
+def random_pair(rng, ell):
+    """Two circle probability measures with slabs, vertex atoms and shared atoms.
+
+    The shared atoms have equal weights in both measures, so their CDF jumps
+    cancel in the difference.
+    """
+    g = circle_graph(ell)
+    grid = [F(k, 12) * ell for k in range(12)]
+    shared = [(t, F(rng.randint(1, 3), 24)) for t in rng.sample(grid, rng.randint(0, 3))]
+    rest = 1 - sum((w for _, w in shared), F(0))
+
+    def measure():
+        atoms = [(rng.choice(grid[:1] + grid), F(rng.randint(1, 6))) for _ in range(rng.randint(0, 4))]
+        cuts = sorted(set(rng.sample(grid[1:], rng.randint(0, 3))))
+        values = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(len(cuts) + 1)]
+        if not atoms and not any(values):
+            values[0] = F(1)
+        mu = GraphMeasure(g, [(g.point(0, t), w) for t, w in atoms], {0: (cuts, values)})
+        scaled = mu * (rest / mu.total_mass)
+        return scaled + GraphMeasure(g, [(g.point(0, t), w) for t, w in shared])
+
+    mu = measure()
+    return mu, (None if rng.random() < 0.25 else measure())
+
+
+def test_sweep_matches_reference_on_random_pairs():
+    rng = random.Random(2011)
+    for _ in range(320):
+        ell = rng.choice((F(5), F(7, 3), F(2), F(11, 2)))
+        mu, target = random_pair(rng, ell)
+        expected = reference_distances(mu, target)
+        assert (kolmogorov_distance(mu, target), wasserstein_distance(mu, target)) == expected
+
+
+def test_sweep_matches_reference_on_report_rows():
+    for ell in (F(5), F(7, 3)):
+        curve = TateCurve.of(ell)
+        samples = [(n, torsion_specializations(curve, n, n > 1 and n % 2 == 0)) for n in range(1, 30)]
+        samples += [(n, random_specializations(curve, n, random.Random(n))) for n in range(1, 30)]
+        for (_, sample), row in zip(samples, weak_convergence_report(samples, include_w1=True)):
+            assert (row.ks, row.w1) == reference_distances(empirical_measure(sample))
+
+
+def test_torsion_closed_forms_up_to_300():
+    for ell in (F(5), F(7, 3)):
+        curve = TateCurve.of(ell)
+        samples = [(n, torsion_specializations(curve, n)) for n in range(1, 301)]
+        for row in weak_convergence_report(samples, include_w1=True):
+            assert row.ks == F(1, row.n)
+            assert row.w1 == ell / (4 * row.n)
+
+
+def test_random_specializations_match_per_draw_construction():
+    for ell, n, seed in ((F(5), 1, 0), (F(7, 3), 9, 3), (F(2), 40, 11), (F(11, 2), 73, 5)):
+        curve = TateCurve.of(ell)
+        rng, per_draw = random.Random(seed), random.Random(seed)
+        sample = random_specializations(curve, n, rng)
+        expected = OrbitSample.of(ell, [F(per_draw.randrange(n), n) * ell for _ in range(n * n)])
+        assert sample.counts == expected.counts
+        assert rng.getstate() == per_draw.getstate()
